@@ -8,9 +8,10 @@ environment of the interference sweep:
   8-source workload tracked since PR 1;
 * **round path** — rounds/sec of the struct-of-arrays round path
   (``NodeStateArray`` + batched data-slot floods, PR 3) vs the PR 2
-  per-slot reference path (per-flood floods, per-node Python
-  bookkeeping), executed back to back by the *same* engine so the
-  comparison is robust against machine-speed fluctuations.  The
+  per-slot round kept here as :func:`_reference_round` (per-flood
+  floods, per-node Python bookkeeping), executed back to back over the
+  *same* engine so the comparison is robust against machine-speed
+  fluctuations.  The
   workload schedules 32 data slots per round — the broadcast-style
   round shape the paper's ``N`` sources produce at scale.  Since PR 4
   the section also times the round path with the PR 3-style *per-flood
@@ -23,9 +24,10 @@ environment of the interference sweep:
   minutes there): exact batched kernel vs the per-flood product loop
   vs the log-matmul engine over a shared ``LinkModel``.
 
-Results are printed as tables and recorded in ``BENCH_flood_speed.json``
-at the repository root so the performance trajectory is tracked across
-PRs.  Enforced bars (ratios, not absolute rates — this VM shows ~2x
+Results are printed as tables and recorded in
+``benchmarks/out/BENCH_flood_speed.json`` (git-ignored, so test runs
+never touch tracked files; the committed ``BENCH_flood_speed.json`` at
+the repository root is the reference record of the trajectory).  Enforced bars (ratios, not absolute rates — this VM shows ~2x
 CPU-steal swings, so only in-run comparisons are trustworthy):
 
 * vectorized >= 5x the scalar reference on the interfered flood
@@ -56,18 +58,19 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.experiments.reporting import format_table
 from repro.experiments.scenarios import jamming_interference
 from repro.net.channels import ChannelHopper
 from repro.net.energy import RadioOnTracker
-from repro.net.glossy import GlossyFlood
+from repro.net.glossy import FloodResult, GlossyFlood
 from repro.net.link import LinkModel
-from repro.net.lwb import LWBRoundEngine, Schedule
+from repro.net.lwb import LWBRoundEngine, RoundResult, Schedule, SlotResult
 from repro.net.node import NodeRole, NodeStateArray
-from repro.net.packet import DimmerFeedbackHeader
+from repro.net.packet import DataPacket, DimmerFeedbackHeader
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
-from repro.net.topology import random_topology
+from repro.net.topology import kiel_testbed, random_topology
 
 
 class _ReferenceNodeStatistics:
@@ -128,6 +131,134 @@ class _ReferenceNode:
 
     def observe_feedback(self, source, feedback):
         self.neighbor_feedback[source] = feedback
+
+
+def _reference_round(engine, nodes, schedule, start_ms, interference):
+    """PR 2's per-slot LWB round (benchmark reference).
+
+    Runs ``schedule`` over a dict of :class:`_ReferenceNode` in topology
+    order through ``engine``'s flood engine, hopper and slot timing the
+    way PR 2's round did: one ``GlossyFlood.run`` per data slot and
+    per-node attribute updates for sync flags, ``n_tx``, overheard
+    feedback and statistics (broadcast semantics, feedback on).  It is
+    the in-run reference of the round-path speedup bars.
+    """
+    coordinator = engine.topology.coordinator
+    flood_engine = engine.flood
+    all_ids = list(nodes.keys())
+    if tuple(all_ids) != flood_engine.node_ids:
+        raise ValueError("reference nodes must be in topology order")
+    n = len(all_ids)
+    ids_arr = np.array(all_ids, dtype=np.int64)
+    pos = {node: i for i, node in enumerate(all_ids)}
+    slot_stride = engine.slot_ms + engine.slot_gap_ms
+
+    # Control slot: flood the schedule from the coordinator.
+    control_flood = flood_engine.run(
+        initiator=coordinator,
+        n_tx=max(schedule.n_tx, 1),
+        packet_bytes=schedule.to_packet(coordinator).total_bytes,
+        channel=engine.hopper.control_channel(),
+        start_ms=start_ms,
+        interference=interference,
+        participants=None,
+        max_slot_ms=engine.slot_ms,
+    )
+    synchronized = control_flood.received_array.copy()
+    radio_on = control_flood.radio_on_array.copy()
+    synchronized[pos[coordinator]] = True
+
+    sync_list = synchronized.tolist()
+    for i, node_id in enumerate(all_ids):
+        nodes[node_id].synchronized = sync_list[i]
+    for node_id in ids_arr[synchronized].tolist():
+        nodes[node_id].apply_n_tx(schedule.n_tx)
+    effective_n_tx = np.fromiter(
+        (nodes[node_id].effective_n_tx for node_id in all_ids), dtype=np.int64, count=n
+    )
+
+    packets_expected = np.zeros(n, dtype=np.int64)
+    packets_received = np.zeros(n, dtype=np.int64)
+    destination_mask = np.ones(n, dtype=bool)
+
+    # Data slots, one flood at a time.
+    slot_results = []
+    sync_rows = np.flatnonzero(synchronized)
+    for slot_index, source in enumerate(schedule.slots):
+        channel = engine.hopper.data_channel(slot_index)
+        source_pos = pos[source]
+        slot_destinations = destination_mask.copy()
+        slot_destinations[source_pos] = False
+
+        if not synchronized[source_pos]:
+            radio_on += engine.slot_ms
+            packets_expected[slot_destinations] += 1
+            empty = FloodResult.empty(
+                initiator=source,
+                node_ids=all_ids,
+                slot_duration_ms=engine.slot_ms,
+                channel=channel,
+                radio_on_ms=engine.slot_ms,
+            )
+            slot_results.append(
+                SlotResult(slot_index=slot_index, source=source, channel=channel, flood=empty)
+            )
+            continue
+
+        flood = flood_engine.run(
+            initiator=source,
+            n_tx=effective_n_tx,
+            packet_bytes=DataPacket(source=source).total_bytes,
+            channel=channel,
+            start_ms=start_ms + (slot_index + 1) * slot_stride,
+            interference=interference,
+            participants=synchronized,
+            max_slot_ms=engine.slot_ms,
+        )
+        feedback = nodes[source].statistics.to_feedback()
+        slot_radio = np.full(n, engine.slot_ms)
+        received_full = np.zeros(n, dtype=bool)
+        slot_radio[sync_rows] = flood.radio_on_array
+        received_full[sync_rows] = flood.received_array
+        radio_on += slot_radio
+        packets_expected[slot_destinations] += 1
+        packets_received[slot_destinations & received_full] += 1
+        for node_id in ids_arr[received_full].tolist():
+            nodes[node_id].observe_feedback(source, feedback)
+        slot_results.append(
+            SlotResult(
+                slot_index=slot_index,
+                source=source,
+                channel=channel,
+                flood=flood,
+                feedback=feedback,
+            )
+        )
+
+    num_slots = len(schedule.slots) + 1
+    expected_list = packets_expected.tolist()
+    received_list = packets_received.tolist()
+    per_slot_list = (radio_on / num_slots).tolist()
+    for i, node_id in enumerate(all_ids):
+        statistics = nodes[node_id].statistics
+        statistics.packets_expected = expected_list[i]
+        statistics.packets_received = received_list[i]
+        statistics.radio_on.record_slot(per_slot_list[i])
+
+    engine.hopper.advance_round(len(schedule.slots))
+
+    return RoundResult(
+        round_index=schedule.round_index,
+        schedule=schedule,
+        start_ms=start_ms,
+        control_flood=control_flood,
+        slots=slot_results,
+        synchronized=synchronized,
+        radio_on_ms=radio_on,
+        packets_expected=packets_expected,
+        packets_received=packets_received,
+        node_ids=all_ids,
+    )
 
 #: Engines of the flood-path comparison tables (the log engine only
 #: differs on the batched round path, so it is measured there instead).
@@ -206,7 +337,7 @@ PR1_VECTORIZED_BASELINE = {
 #: round-path bars compare against the in-run reference path instead.
 PR2_ROUND_PATH_BASELINE = {100: 84.0, 200: 62.3, 500: 22.3}
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_flood_speed.json"
+BENCH_PATH = Path(__file__).resolve().parent / "out" / "BENCH_flood_speed.json"
 
 
 def _selected_sizes():
@@ -301,10 +432,10 @@ def _time_round_path(topology, interference, rounds):
     * the **store path** (``NodeStateArray`` + one batched phase loop
       for all data slots) under the exact batched reception kernel,
       the PR 3-style per-flood product loop, and the log-matmul engine;
-    * the **PR 2 reference path**: a dict of PR 2-style plain-attribute
-      nodes through the same engine, which takes the per-slot route
-      (one flood at a time, per-node attribute updates) — i.e. it pays
-      PR 2's actual bookkeeping cost.
+    * the **PR 2 reference path**: :func:`_reference_round` over a dict
+      of PR 2-style plain-attribute nodes and the same engine (one flood
+      at a time, per-node attribute updates) — i.e. it pays PR 2's
+      actual bookkeeping cost.
     """
     slots = tuple(topology.node_ids[:ROUND_PATH_SLOTS])
     best = {name: float("inf") for name in ROUND_PATH_KERNELS}
@@ -336,16 +467,17 @@ def _time_round_path(topology, interference, rounds):
             )
             for node_id in topology.node_ids
         }
-        engine.run_round(
-            nodes, Schedule(round_index=0, n_tx=3, slots=slots), interference=interference
+        _reference_round(
+            engine, nodes, Schedule(round_index=0, n_tx=3, slots=slots), 0.0, interference
         )
         start = time.perf_counter()
         for index in range(rounds):
-            engine.run_round(
+            _reference_round(
+                engine,
                 nodes,
                 Schedule(round_index=index + 1, n_tx=3, slots=slots),
-                start_ms=(index + 1) * 1000.0,
-                interference=interference,
+                (index + 1) * 1000.0,
+                interference,
             )
         best_reference = min(best_reference, time.perf_counter() - start)
     rates = {name: rounds / value for name, value in best.items()}
@@ -503,6 +635,57 @@ def _print_round_path(num_nodes, round_path):
     )
 
 
+@pytest.mark.parametrize("ratio", [0.0, 0.25])
+def test_reference_round_matches_store_path(ratio):
+    """The PR 2 reference round is an oracle of the store round path:
+    under one seed both produce identical rounds, node statistics and
+    overheard feedback, so the speedup bars compare equal work."""
+    topology = kiel_testbed()
+    interference = jamming_interference(topology, ratio) if ratio else None
+
+    def engine():
+        return LWBRoundEngine(
+            topology,
+            hopper=ChannelHopper(enabled=False),
+            rng=np.random.default_rng(42),
+            engine="vectorized",
+        )
+
+    store_engine, reference_engine = engine(), engine()
+    store = NodeStateArray(
+        topology.node_ids, positions=topology.positions, coordinator=topology.coordinator
+    )
+    nodes = {
+        node_id: _ReferenceNode(
+            node_id,
+            topology.positions[node_id],
+            NodeRole.COORDINATOR if node_id == topology.coordinator else NodeRole.FORWARDER,
+        )
+        for node_id in topology.node_ids
+    }
+    for index in range(4):
+        schedule = Schedule(round_index=index, n_tx=2, slots=tuple(topology.node_ids))
+        a = store_engine.run_round(
+            store, schedule, start_ms=index * 1000.0, interference=interference
+        )
+        b = _reference_round(reference_engine, nodes, schedule, index * 1000.0, interference)
+        assert (a.synchronized_array == b.synchronized_array).all()
+        assert (a.radio_on_array == b.radio_on_array).all()
+        assert (a.packets_expected_array == b.packets_expected_array).all()
+        assert (a.packets_received_array == b.packets_received_array).all()
+        for slot_a, slot_b in zip(a.slots, b.slots):
+            assert (slot_a.flood.received_array == slot_b.flood.received_array).all()
+            assert (slot_a.flood.radio_on_array == slot_b.flood.radio_on_array).all()
+            assert slot_a.feedback == slot_b.feedback
+    for node_id in topology.node_ids:
+        view, reference = store[node_id], nodes[node_id]
+        assert view.n_tx == reference.n_tx
+        assert view.synchronized == reference.synchronized
+        assert view.statistics.packets_received == reference.statistics.packets_received
+        assert view.statistics.to_feedback() == reference.statistics.to_feedback()
+        assert dict(view.neighbor_feedback) == reference.neighbor_feedback
+
+
 def test_flood_engine_throughput():
     sizes, xl_sizes = _selected_sizes()
     sizes_payload = {}
@@ -560,6 +743,7 @@ def test_flood_engine_throughput():
         headline = sizes_payload[100]["improvement_vs_pr1_vectorized"][
             "floods_per_sec_interfered"
         ]
+        BENCH_PATH.parent.mkdir(exist_ok=True)
         BENCH_PATH.write_text(
             json.dumps(
                 {

@@ -6,8 +6,9 @@ the node-churn family lets traffic sources drop off the bus and rejoin.
 Static LWB (``N_TX = 3``), Dimmer (DQN adaptivity) and the PID baseline
 run the same scripted scenarios; the grid fans out through the
 :class:`~repro.experiments.runner.ParallelRunner` and the aggregated
-results are recorded in ``BENCH_scenarios.json`` next to the figure
-benchmarks.
+results are recorded in ``benchmarks/out/BENCH_scenarios.json`` (git
+ignored; the committed ``BENCH_scenarios.json`` at the repository root
+is the reference record).
 
 Expected shape: under the patrolling jammer the adaptive protocols buy
 reliability with extra radio-on time compared to static LWB; under pure
@@ -31,7 +32,7 @@ ROUNDS = 30
 RUNS = 2
 SEED = 9
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
+BENCH_PATH = Path(__file__).resolve().parent / "out" / "BENCH_scenarios.json"
 
 
 def run_scenario_grid(network):
@@ -87,6 +88,7 @@ def test_scenario_families_dimmer_vs_baselines(benchmark, pretrained_network):
             title=f"{family}: Dimmer vs baselines ({RUNS} runs x {ROUNDS} rounds)",
         ))
 
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(
         json.dumps(
             {

@@ -20,11 +20,11 @@ import numpy as np
 
 from repro.baselines.crystal import CrystalConfig, CrystalProtocol
 from repro.baselines.static_lwb import StaticLWBProtocol
-from repro.core.config import DimmerConfig, dcube_config
+from repro.core.config import dcube_config
 from repro.core.protocol import DimmerProtocol
 from repro.experiments.scenarios import dcube_wifi_interference
 from repro.net.simulator import NetworkSimulator, SimulatorConfig
-from repro.net.topology import Topology, dcube_testbed
+from repro.net.topology import Topology
 from repro.rl.qnetwork import QNetwork
 from repro.rl.quantized import QuantizedNetwork
 
@@ -257,86 +257,4 @@ def run_single_dcube_point(
         return _run_crystal(level, topology, num_rounds, num_sources, seed)
     return _run_bus_protocol(
         protocol, level, network, topology, num_rounds, num_sources, max_retries, seed
-    )
-
-
-def run_dcube_comparison(
-    network: Union[QNetwork, QuantizedNetwork],
-    levels: Sequence[int] = DCUBE_LEVELS,
-    protocols: Sequence[str] = DCUBE_PROTOCOLS,
-    topology: Optional[Topology] = None,
-    num_rounds: int = 200,
-    num_sources: int = 5,
-    max_retries: int = 5,
-    seed: int = 0,
-) -> DCubeComparison:
-    """Run the full Fig. 7 comparison.
-
-    Parameters
-    ----------
-    network:
-        The DQN trained on the 18-node testbed — used as-is, without
-        retraining, which is the point of §V-E.
-    levels:
-        Interference settings (0 = none, 1 and 2 = D-Cube WiFi levels).
-    protocols:
-        Subset of ``("lwb", "dimmer", "crystal")``.
-    num_rounds:
-        Rounds (1 s each) per run; the paper averages ten 10-minute runs,
-        the default here is one compressed run per grid point.
-    num_sources:
-        Number of known source nodes (5 in the EWSN data-collection
-        scenario evaluated by the paper).
-    """
-    topology = topology if topology is not None else dcube_testbed()
-    comparison = DCubeComparison()
-    for level in levels:
-        for protocol in protocols:
-            comparison.results.append(
-                run_single_dcube_point(
-                    protocol,
-                    level,
-                    network,
-                    topology,
-                    num_rounds,
-                    num_sources,
-                    max_retries,
-                    seed,
-                )
-            )
-    return comparison
-
-
-def run_dcube_comparison_parallel(
-    runner: "ParallelRunner",
-    network: Union[QNetwork, QuantizedNetwork],
-    levels: Sequence[int] = DCUBE_LEVELS,
-    protocols: Sequence[str] = DCUBE_PROTOCOLS,
-    topology_spec: Optional[Dict] = None,
-    num_rounds: int = 200,
-    num_sources: int = 5,
-    max_retries: int = 5,
-    seed: int = 0,
-) -> DCubeComparison:
-    """Run the Fig. 7 grid through a :class:`ParallelRunner`.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.api.Session.dcube`, kept for
-        backwards compatibility; one
-        :class:`~repro.experiments.spec.DCubeSpec` task per (level,
-        protocol) grid point with unchanged cache keys, identical
-        results to the serial :func:`run_dcube_comparison` for the same
-        ``seed``.
-    """
-    from repro.api import Session
-
-    return Session(runner=runner).dcube(
-        network=network,
-        levels=levels,
-        protocols=protocols,
-        topology_spec=topology_spec,
-        num_rounds=num_rounds,
-        num_sources=num_sources,
-        max_retries=max_retries,
-        seed=seed,
     )

@@ -11,8 +11,8 @@ average radio-on time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from repro.baselines.pid import PIDProtocol
 from repro.baselines.static_lwb import StaticLWBProtocol
@@ -152,33 +152,6 @@ class DynamicComparison:
         return self.pid.metrics.radio_on_ms - self.dimmer.metrics.radio_on_ms
 
 
-def run_dynamic_comparison(
-    network: Union[QNetwork, QuantizedNetwork],
-    topology: Optional[Topology] = None,
-    time_scale: float = 1.0,
-    round_period_s: float = 4.0,
-    seed: int = 0,
-) -> DynamicComparison:
-    """Run Dimmer and the PID baseline against the same dynamic timeline."""
-    topology = topology if topology is not None else kiel_testbed()
-    dimmer = run_dynamic_experiment(
-        "dimmer",
-        network=network,
-        topology=topology,
-        time_scale=time_scale,
-        round_period_s=round_period_s,
-        seed=seed,
-    )
-    pid = run_dynamic_experiment(
-        "pid",
-        topology=topology,
-        time_scale=time_scale,
-        round_period_s=round_period_s,
-        seed=seed,
-    )
-    return DynamicComparison(dimmer=dimmer, pid=pid)
-
-
 def _dynamic_result_from_task(entry: dict) -> DynamicRunResult:
     """Rebuild a :class:`DynamicRunResult` from a worker's JSON result."""
     protocol = entry["protocol"]
@@ -198,32 +171,4 @@ def _dynamic_result_from_task(entry: dict) -> DynamicRunResult:
         radio_on_ms=series["radio_on_ms"],
         interference_ratio=series["interference_ratio"],
         metrics=ExperimentMetrics.from_dict(entry["metrics"]),
-    )
-
-
-def run_dynamic_comparison_parallel(
-    runner: "ParallelRunner",
-    network: Union[QNetwork, QuantizedNetwork],
-    topology_spec: Optional[dict] = None,
-    time_scale: float = 1.0,
-    round_period_s: float = 4.0,
-    seed: int = 0,
-) -> DynamicComparison:
-    """Run the Fig. 4c vs 4d comparison through a :class:`ParallelRunner`.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.api.Session.dynamic_comparison`,
-        kept for backwards compatibility; the two protocol timelines run
-        as :class:`~repro.experiments.spec.DynamicSpec` tasks with
-        unchanged cache keys, and for a given ``seed`` the rebuilt
-        results match the serial :func:`run_dynamic_comparison`.
-    """
-    from repro.api import Session
-
-    return Session(runner=runner).dynamic_comparison(
-        network=network,
-        topology_spec=topology_spec,
-        time_scale=time_scale,
-        round_period_s=round_period_s,
-        seed=seed,
     )

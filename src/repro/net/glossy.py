@@ -680,7 +680,7 @@ class GlossyFlood:
         )
         start_list = (
             [float(start_times)] * count
-            if isinstance(start_times, (int, float, np.floating))
+            if isinstance(start_times, (int, float, np.integer, np.floating))
             else [float(t) for t in start_times]
         )
         if len(channel_list) != count or len(start_list) != count:

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.experiments.dcube import AperiodicTraffic, run_dcube_comparison
+from repro.api import Session
+from repro.experiments.dcube import AperiodicTraffic
 from repro.experiments.dynamic import run_dynamic_experiment
 from repro.experiments.forwarder import run_forwarder_selection_experiment
-from repro.experiments.interference_sweep import run_interference_sweep
 from repro.experiments.metrics import ExperimentMetrics, TimeSeries, summarize_rounds
 from repro.experiments.reporting import format_metrics_table, format_series, format_table
 from repro.experiments.scenarios import (
@@ -23,9 +23,13 @@ def network():
     return QNetwork((31, 30, 3), seed=0)
 
 
+#: Keyword arguments of the tiny 2x3 grid the harness tests run on.
+SMALL_GRID = dict(rows=2, cols=3, spacing_m=6.0, comm_range_m=9.0, name="tiny")
+
+
 @pytest.fixture(scope="module")
 def small_grid():
-    return grid_topology(rows=2, cols=3, spacing_m=6.0, comm_range_m=9.0, name="tiny")
+    return grid_topology(**SMALL_GRID)
 
 
 class TestMetrics:
@@ -125,12 +129,12 @@ class TestDynamicExperiment:
 
 
 class TestInterferenceSweep:
-    def test_small_sweep_structure(self, network, small_grid):
-        result = run_interference_sweep(
+    def test_small_sweep_structure(self, network):
+        result = Session(max_workers=1).sweep(
             network=network,
             ratios=(0.0, 0.3),
             protocols=("lwb", "dimmer"),
-            topology=small_grid,
+            topology_spec={"kind": "grid", **SMALL_GRID},
             rounds_per_run=4,
             runs=1,
             seed=0,
@@ -171,12 +175,12 @@ class TestDCubeExperiment:
         with pytest.raises(ValueError):
             AperiodicTraffic(sources=[1], min_gap_rounds=0)
 
-    def test_small_dcube_comparison(self, network, small_grid):
-        comparison = run_dcube_comparison(
+    def test_small_dcube_comparison(self, network):
+        comparison = Session(max_workers=1).dcube(
             network=network,
             levels=(0,),
             protocols=("lwb", "dimmer", "crystal"),
-            topology=small_grid,
+            topology_spec={"kind": "grid", **SMALL_GRID},
             num_rounds=12,
             num_sources=2,
             seed=0,

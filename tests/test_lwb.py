@@ -6,8 +6,7 @@ import pytest
 from repro.net.channels import ChannelHopper
 from repro.net.interference import BurstJammer, CompositeInterference
 from repro.net.lwb import LWBRoundEngine, Schedule, build_observer_view
-from repro.net.node import Node, NodeRole
-from repro.net.topology import kiel_testbed
+from repro.net.node import Node, NodeRole, NodeStateArray
 
 
 @pytest.fixture()
@@ -15,13 +14,17 @@ def engine(kiel):
     return LWBRoundEngine(kiel, hopper=ChannelHopper(enabled=False), rng=np.random.default_rng(0))
 
 
+def make_nodes(kiel, node_ids=None):
+    return NodeStateArray(
+        kiel.node_ids if node_ids is None else node_ids,
+        positions=kiel.positions,
+        coordinator=kiel.coordinator,
+    )
+
+
 @pytest.fixture()
 def nodes(kiel):
-    built = {}
-    for node_id in kiel.node_ids:
-        role = NodeRole.COORDINATOR if node_id == kiel.coordinator else NodeRole.FORWARDER
-        built[node_id] = Node(node_id=node_id, position=kiel.positions[node_id], role=role)
-    return built
+    return make_nodes(kiel)
 
 
 def make_schedule(kiel, n_tx=3, round_index=0):
@@ -87,15 +90,10 @@ class TestRoundExecution:
 
     def test_passive_nodes_save_energy(self, engine, kiel, nodes):
         baseline = engine.run_round(nodes, make_schedule(kiel))
-        passive_nodes = {}
-        for node_id in kiel.node_ids:
-            role = NodeRole.COORDINATOR if node_id == kiel.coordinator else NodeRole.FORWARDER
-            passive_nodes[node_id] = Node(
-                node_id=node_id, position=kiel.positions[node_id], role=role
-            )
+        passive_nodes = make_nodes(kiel)
         chosen = [n for n in kiel.node_ids if n != kiel.coordinator][:5]
         for node in chosen:
-            passive_nodes[node].set_role(NodeRole.PASSIVE)
+            passive_nodes.set_role(node, NodeRole.PASSIVE)
         engine2 = LWBRoundEngine(kiel, hopper=ChannelHopper(enabled=False), rng=np.random.default_rng(0))
         result = engine2.run_round(passive_nodes, make_schedule(kiel))
         avg_passive = np.mean([result.radio_on_ms[n] for n in chosen])
@@ -113,6 +111,19 @@ class TestRoundExecution:
             for i in range(5)
         ]
         assert any(r.had_losses for r in results)
+
+    def test_dict_of_nodes_rejected(self, engine, kiel):
+        nodes = {
+            node_id: Node(node_id=node_id, position=kiel.positions[node_id])
+            for node_id in kiel.node_ids
+        }
+        with pytest.raises(ValueError, match="NodeStateArray"):
+            engine.run_round(nodes, make_schedule(kiel))
+
+    def test_reordered_store_rejected(self, engine, kiel):
+        nodes = make_nodes(kiel, node_ids=tuple(reversed(kiel.node_ids)))
+        with pytest.raises(ValueError, match="topology order"):
+            engine.run_round(nodes, make_schedule(kiel))
 
     def test_round_airtime_scales_with_slots(self, engine):
         assert engine.round_airtime_ms(10) > engine.round_airtime_ms(2)

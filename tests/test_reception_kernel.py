@@ -72,23 +72,27 @@ class TestKernelParity:
         topology = random_topology(30, seed=7)
         interference = jamming_interference(topology, 0.2)
         initiators = [0, 4, 9, 15, 21]
-        starts = [100.0 + 22.0 * k for k in range(len(initiators))]
-        # One generator drives all sequential floods, like run_batch does.
-        flood = make_flood(topology)
-        sequential = [
-            flood.run(
-                initiator=initiator,
-                n_tx=2,
-                start_ms=start,
+        # Per-flood start times, and one start shared by every flood
+        # given as a NumPy integer (accepted like ``channels``).
+        for start_times in ([100.0 + 22.0 * k for k in range(len(initiators))], np.int64(5)):
+            starts = np.broadcast_to(start_times, len(initiators)).tolist()
+            # One generator drives all sequential floods, like run_batch does.
+            flood = make_flood(topology)
+            sequential = [
+                flood.run(
+                    initiator=initiator,
+                    n_tx=2,
+                    start_ms=start,
+                    interference=interference,
+                    max_slot_ms=20.0,
+                )
+                for initiator, start in zip(initiators, starts)
+            ]
+            batched = run_batch_under(
+                make_flood(topology), initiators, start_times=start_times,
                 interference=interference,
-                max_slot_ms=20.0,
             )
-            for initiator, start in zip(initiators, starts)
-        ]
-        batched = run_batch_under(
-            make_flood(topology), initiators, start_times=starts, interference=interference
-        )
-        assert_results_identical(sequential, batched)
+            assert_results_identical(sequential, batched)
 
     def test_per_node_budgets_and_participants(self):
         topology = random_topology(25, seed=3)

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.interference_sweep import (
-    run_interference_sweep,
-    run_interference_sweep_parallel,
-)
+from repro.api import Session
 from repro.experiments.runner import (
     EXPERIMENTS,
     ParallelRunner,
@@ -189,7 +186,7 @@ class TestBuiltInExperiments:
             assert name in EXPERIMENTS
 
     def test_parallel_sweep_matches_serial(self, untrained_network):
-        serial = run_interference_sweep(
+        kwargs = dict(
             network=untrained_network,
             ratios=(0.0, 0.3),
             protocols=("lwb", "dimmer"),
@@ -197,16 +194,8 @@ class TestBuiltInExperiments:
             runs=2,
             seed=5,
         )
-        runner = ParallelRunner(max_workers=2)
-        parallel = run_interference_sweep_parallel(
-            runner,
-            network=untrained_network,
-            ratios=(0.0, 0.3),
-            protocols=("lwb", "dimmer"),
-            rounds_per_run=8,
-            runs=2,
-            seed=5,
-        )
+        serial = Session(max_workers=1).sweep(**kwargs)
+        parallel = Session(max_workers=2).sweep(**kwargs)
         for point in serial.points:
             twin = parallel.point(point.protocol, point.interference_ratio)
             assert twin.metrics.reliability == pytest.approx(point.metrics.reliability)
